@@ -29,10 +29,10 @@ final case class SsRecConfig(
 }
 
 /** A trained ssRec model: the CPPse-index over all user profiles, the mined
-  * entity-expansion table, the a-HMM layer (for decoding producer states of
-  * new stream items), and the raw training events (kept so parameter sweeps
-  * can rebuild profiles under a different window size without re-running
-  * Baum-Welch).
+  * entity-expansion table and the a-HMM layer (for decoding producer states
+  * of new stream items). `recommend` is exact: it equals `scanRecommend`.
+  * `eventsByUser` holds the training events; no model code reads it, and it
+  * stays only as a parameter of `SsRec.fromParts`, whose callers pass it.
   */
 final class SsRecModel(
     val index: CppseIndex,
@@ -64,8 +64,8 @@ final class SsRecModel(
                     expansion, cfg.expand)
 
   /** Top-k users for an incoming item via the CPPse-index (Algorithm 1). */
-  def recommend(item: Item, k: Int, exact: Boolean = false): Seq[(Long, Double)] =
-    index.topK(queryOf(item), k, exact)
+  def recommend(item: Item, k: Int): Seq[(Long, Double)] =
+    index.topK(queryOf(item), k)
 
   /** Top-k by sequential scan — the naive method, for tests and baselines. */
   def scanRecommend(item: Item, k: Int): Seq[(Long, Double)] =
@@ -160,19 +160,5 @@ object SsRec {
       new ProducerTracker(producers, cfg.nAStates), eventsByUser, cfg)
     model.seedZCache(zOfItem)
     model
-  }
-
-  /** Rebuild a model under new (windowCap, λ_s, expand) without re-running
-    * Baum-Welch: profiles are replayed from the retained training events with
-    * each user's existing b-HMM.
-    */
-  def retarget(m: SsRecModel, producers: Map[Long, ProducerModel],
-               zOfItem: Map[Long, Int], newCfg: SsRecConfig): SsRecModel = {
-    val rebuilt = m.eventsByUser.map { case (u, events) =>
-      val model = m.index.profiles(u).model
-      u -> Profiles.build(u, events, model, newCfg.nCategories, newCfg.windowCap, newCfg.longSeqCap)
-    }
-    fromParts(rebuilt, m.eventsByUser, producers, m.index.collection,
-              if (newCfg.expand) m.expansion else Entities.none, zOfItem, newCfg)
   }
 }

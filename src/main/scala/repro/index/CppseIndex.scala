@@ -20,12 +20,13 @@ final class HashTriad(val key: String,
   */
 final case class UpdateReport(updatedUsers: Int, newUsers: Int, newHashTriads: Int)
 
-/** The CPPse-index: a chained hash table from category-entity pairs to
-  * extended signature trees, one tree per (user block × category), plus the
-  * user profile records the LEntries point to.
+/** The CPPse-index: extended signature trees, one per (user block ×
+  * category), a chained hash table from category-entity pairs to the trees
+  * covering them, and the user profile records the LEntries point to.
   *
-  * `topK` implements Algorithm 1 (branch-and-bound KNN over the located
-  * trees); `applyUpdates` implements Algorithm 2.
+  * `topK` implements Algorithm 1 (branch-and-bound KNN over every tree of the
+  * item's category, equal to a sequential scan); `applyUpdates` implements
+  * Algorithm 2, which maintains the trees and the hash table.
   */
 final class CppseIndex(val nBuckets: Int,
                        val fanout: Int,
@@ -47,9 +48,9 @@ final class CppseIndex(val nBuckets: Int,
   /** Block assignment of a user, if indexed. */
   def blockOf(userId: Long): Option[Int] = blockOfUser.get(userId)
 
-  /** All trees of one category (the exact-mode candidate set). */
+  /** All trees of one category, in block order: the candidate set of `topK`. */
   def treesOfCategory(c: Int): Seq[SignatureTree] =
-    trees.iterator.collect { case (ref, t) if ref.category == c => t }.toSeq
+    (0 until numBlocks).flatMap(b => trees.get(TreeRef(b, c)))
 
   /** Tree of one (block, category), if it exists. */
   def tree(ref: TreeRef): Option[SignatureTree] = trees.get(ref)
@@ -89,7 +90,11 @@ final class CppseIndex(val nBuckets: Int,
       true
   }
 
-  /** Trees reachable from the query's category-entity pairs (fast mode). */
+  /** Trees linked under the query's category-entity pairs. The hash table
+    * does not select candidates for `topK`: a tree's root bound already
+    * prunes a tree that holds no top-k user. This lookup reports which trees
+    * the table links to a query.
+    */
   def locateTrees(q: ItemQuery): Seq[SignatureTree] = {
     val refs = scala.collection.mutable.Set.empty[TreeRef]
     q.entityWeights.foreach { case (e, _) =>
@@ -144,45 +149,15 @@ final class CppseIndex(val nBuckets: Int,
 
   // ------------------------------------------------------------------ query
 
-  /** Algorithm 1: branch-and-bound KNN over the candidate trees. Seeds a
-    * priority queue with every tree root ordered by the IEntry upper bound,
-    * expands entries whose bound beats the current k-th best score `LB`, and
-    * collects leaves into a size-k result heap. `exact = true` searches every
-    * tree of the item's category (provably equal to a sequential scan, by
-    * Lemmas 1–2); the default hash-located mode skips blocks sharing no
-    * category-entity pair with the query.
+  /** Algorithm 1 over every tree of the item's category: the result equals
+    * `scanTopK` in user ids, order and scores (Lemmas 1–2).
     */
-  def topK(q: ItemQuery, k: Int, exact: Boolean = false): Seq[(Long, Double)] = {
-    require(k >= 1, "k must be >= 1")
-    val candidates = if (exact) treesOfCategory(q.category) else locateTrees(q)
-    val queue = scala.collection.mutable.PriorityQueue.empty[(Double, SigNode)](
-      Ordering.by[(Double, SigNode), Double](_._1))
-    candidates.foreach(_.root.foreach(r => queue.enqueue((Ranking.score(r.stats, q, params, collection), r))))
-    // Result heap: min-heap of size k; LB is its minimum once full.
-    val result = scala.collection.mutable.PriorityQueue.empty[(Double, Long)](
-      Ordering.by[(Double, Long), Double](-_._1))
-    def lb: Double = if (result.size < k) Double.NegativeInfinity else result.head._1
-    var done = false
-    while (queue.nonEmpty && !done) {
-      val (score, node) = queue.dequeue()
-      if (score <= lb && result.size >= k) done = true // bound: nothing better remains
-      else node match {
-        case leaf: SigLeaf =>
-          result.enqueue((score, leaf.userId))
-          if (result.size > k) result.dequeue()
-        case inner: SigInner =>
-          inner.children.foreach { ch =>
-            val s = Ranking.score(ch.stats, q, params, collection)
-            if (s > lb) queue.enqueue((s, ch))
-          }
-      }
-    }
-    val drained: Seq[(Double, Long)] = result.dequeueAll
-    drained.reverse.map { case (s, u) => (u, s) }
-  }
+  def topK(q: ItemQuery, k: Int): Seq[(Long, Double)] =
+    SignatureTree.topK(treesOfCategory(q.category), q, k, params, collection)
 
   /** Sequential scan over every indexed profile with the same scorer — the
-    * naive method of Section V, used as the ground truth for `topK`.
+    * naive method of Section V, used as the ground truth for `topK`. Ties
+    * rank the lower userId first.
     */
   def scanTopK(q: ItemQuery, k: Int): Seq[(Long, Double)] =
     profiles.valuesIterator

@@ -1,7 +1,7 @@
 package repro.index
 
-import repro.core.EntryStats
-import scala.collection.mutable.ArrayBuffer
+import repro.core.{CollectionStats, EntryStats, ItemQuery, RankParams, Ranking}
+import scala.collection.mutable.{ArrayBuffer, PriorityQueue}
 
 /** A node of the extended signature tree. `stats` is the node's signature:
   * the user's own statistics at a leaf (LEntry), the element-wise max over
@@ -141,36 +141,46 @@ final class SignatureTree(val block: Int, val category: Int, val fanout: Int)
   /** All (userId, stats) leaves — for exhaustive checks in tests. */
   def leaves: Seq[(Long, EntryStats)] =
     leavesById.iterator.map { case (u, l) => (u, l.stats) }.toSeq
+}
 
-  /** Single-tree branch-and-bound KNN (Algorithm 1 restricted to one tree) —
-    * used by the per-category Structured Streaming matching operator, where
-    * each category group holds exactly one tree.
+object SignatureTree {
+
+  /** Result-heap order: the head is the worst kept entry, i.e. the lowest
+    * score and, among equal scores, the highest userId.
     */
-  def knn(q: repro.core.ItemQuery, k: Int, prm: repro.core.RankParams,
-          col: repro.core.CollectionStats): Seq[(Long, Double)] = {
-    import repro.core.Ranking
-    val queue = scala.collection.mutable.PriorityQueue.empty[(Double, SigNode)](
-      Ordering.by[(Double, SigNode), Double](_._1))
-    root.foreach(r => queue.enqueue((Ranking.score(r.stats, q, prm, col), r)))
-    val result = scala.collection.mutable.PriorityQueue.empty[(Double, Long)](
-      Ordering.by[(Double, Long), Double](-_._1))
+  private val worstFirst: Ordering[(Double, Long)] = (a, b) => {
+    val c = java.lang.Double.compare(b._1, a._1)
+    if (c != 0) c else java.lang.Long.compare(a._2, b._2)
+  }
+
+  /** Algorithm 1: best-first branch-and-bound top-k over the given trees.
+    * Every root enters one priority queue by its IEntry score, an upper bound
+    * on its subtree (Lemmas 1–2); an entry is expanded unless its bound is
+    * strictly below `LB`, the k-th best score found so far, and leaves fill a
+    * size-k result heap. Ties keep the lower userId, so a bound equal to `LB`
+    * is still searched. The result is ordered by score, then by ascending
+    * userId — the order of a sequential scan over the same users.
+    */
+  def topK(trees: Iterable[SignatureTree], q: ItemQuery, k: Int, params: RankParams,
+           collection: CollectionStats): Seq[(Long, Double)] = {
+    require(k >= 1, "k must be >= 1")
+    def score(n: SigNode): Double = Ranking.score(n.stats, q, params, collection)
+    val queue = PriorityQueue.empty[(Double, SigNode)](Ordering.by[(Double, SigNode), Double](_._1))
+    trees.foreach(_.root.foreach(r => queue.enqueue((score(r), r))))
+    val result = PriorityQueue.empty[(Double, Long)](worstFirst)
     def lb: Double = if (result.size < k) Double.NegativeInfinity else result.head._1
-    var done = false
-    while (queue.nonEmpty && !done) {
-      val (score, node) = queue.dequeue()
-      if (score <= lb && result.size >= k) done = true
-      else node match {
-        case leaf: SigLeaf =>
-          result.enqueue((score, leaf.userId))
+    while (queue.nonEmpty && queue.head._1 >= lb) {
+      queue.dequeue() match {
+        case (s, leaf: SigLeaf) =>
+          result.enqueue((s, leaf.userId))
           if (result.size > k) result.dequeue()
-        case inner: SigInner =>
+        case (_, inner: SigInner) =>
           inner.children.foreach { ch =>
-            val s = Ranking.score(ch.stats, q, prm, col)
-            if (s > lb) queue.enqueue((s, ch))
+            val s = score(ch)
+            if (s >= lb) queue.enqueue((s, ch))
           }
       }
     }
-    val drained: Seq[(Double, Long)] = result.dequeueAll
-    drained.reverse.map { case (s, u) => (u, s) }
+    result.dequeueAll[(Double, Long)].reverseIterator.map { case (s, u) => (u, s) }.toSeq
   }
 }

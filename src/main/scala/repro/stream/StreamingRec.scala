@@ -115,7 +115,7 @@ object StreamingRec {
               rows.toSeq.sortBy(_.ts).iterator.flatMap { v =>
                 val q = Ranking.queryOf(v.itemId, v.category, v.producerId, v.entities,
                                         expansion, expand)
-                cs.tree.knn(q, k, cs.prm, cs.col).zipWithIndex.map {
+                SignatureTree.topK(Seq(cs.tree), q, k, cs.prm, cs.col).zipWithIndex.map {
                   case ((u, s), r) => Rec(v.itemId, u, s, r + 1)
                 }
               }

@@ -46,12 +46,9 @@ class CppseIndexSpec extends AnyFunSuite {
     (1 to 30).foreach { i =>
       val q = randQuery(rnd)
       val k = rnd.nextInt(12) + 1
-      val got = idx.topK(q, k, exact = true).map(_._2)
-      val want = idx.scanTopK(q, k).map(_._2)
-      got.zip(want).foreach { case (g, w) =>
-        assert(math.abs(g - w) < 1e-9, s"case $i: index=$got scan=$want")
-      }
-      assert(got.size == want.size)
+      val got = idx.topK(q, k)
+      val want = idx.scanTopK(q, k)
+      assert(sameTopK(got, want), s"case $i: index=$got scan=$want")
     }
   }
 
@@ -59,26 +56,9 @@ class CppseIndexSpec extends AnyFunSuite {
     val rnd = new Random(5)
     val idx = makeIndex(50, 4, 5)
     (1 to 10).foreach { _ =>
-      val scores = idx.topK(randQuery(rnd), 10, exact = true).map(_._2)
+      val scores = idx.topK(randQuery(rnd), 10).map(_._2)
       assert(scores == scores.sorted(Ordering[Double].reverse))
     }
-  }
-
-  test("fast mode returns a subset of users with high overlap on entity-rich queries") {
-    val rnd = new Random(6)
-    val idx = makeIndex(80, 4, 6)
-    var overlap = 0; var total = 0
-    (1 to 30).foreach { _ =>
-      val q = randQuery(rnd)
-      val fast = idx.topK(q, 10).map(_._1).toSet
-      val exact = idx.topK(q, 10, exact = true).map(_._1).toSet
-      assert(fast.subsetOf(idx.profiles.keySet))
-      overlap += (fast & exact).size
-      total += exact.size
-    }
-    // The hash filter skips blocks sharing no (category, entity) pair — recall
-    // need not be 1.0, but must be substantial on this vocabulary.
-    assert(overlap.toDouble / total > 0.5, s"recall ${overlap.toDouble / total}")
   }
 
   test("locateTrees only returns trees of the query category") {
@@ -92,7 +72,7 @@ class CppseIndexSpec extends AnyFunSuite {
 
   test("topK with k exceeding the population returns everyone (exact mode)") {
     val idx = makeIndex(12, 2, 8)
-    assert(idx.topK(randQuery(new Random(8)), 100, exact = true).size == 12)
+    assert(idx.topK(randQuery(new Random(8)), 100).size == 12)
   }
 
   test("applyUpdates: existing user statistics change") {
@@ -136,9 +116,55 @@ class CppseIndexSpec extends AnyFunSuite {
     idx.applyUpdates(ups, makeProfileFor)
     (1 to 20).foreach { _ =>
       val q = randQuery(rnd)
-      val got = idx.topK(q, 8, exact = true).map(_._2)
-      val want = idx.scanTopK(q, 8).map(_._2)
-      got.zip(want).foreach { case (g, w) => assert(math.abs(g - w) < 1e-9) }
+      val got = idx.topK(q, 8)
+      val want = idx.scanTopK(q, 8)
+      assert(sameTopK(got, want), s"index=$got scan=$want")
+    }
+  }
+
+  /** Profiles with identical statistics: one shared event stream and b-HMM. */
+  private def twins(ids: Seq[Long], seed: Long): Seq[UserProfile] = {
+    val events = randEvents(new Random(seed), 30)
+    val model = IoHmm.random(2, NZ, NCats, seed = seed)
+    ids.map(u => Profiles.build(u, events, model, NCats, 5))
+  }
+
+  test("topK breaks ties at the k-th score by lower userId, as scanTopK does") {
+    val rnd = new Random(17)
+    val tied = Seq(41L, 7L, 23L, 3L, 38L, 12L, 30L, 19L)
+    val idx = new CppseIndex(256, 3, params, collection, NCats).build(twins(tied, 17), 1)
+    (1 to 10).foreach { _ =>
+      val q = randQuery(rnd)
+      (1 to tied.size).foreach { k =>
+        val got = idx.topK(q, k)
+        assert(got.map(_._1) == tied.sorted.take(k), s"k=$k")
+        assert(sameTopK(got, idx.scanTopK(q, k)))
+      }
+    }
+  }
+
+  test("property: topK equals scanTopK after random updates and inserts") {
+    (1 to 8).foreach { seed =>
+      val rnd = new Random(100 + seed)
+      val base = (0L until 30L).map(u => randProfile(u, rnd)) ++ twins(30L until 36L, seed)
+      val idx = new CppseIndex(64, 2 + rnd.nextInt(4), params, collection, NCats)
+        .build(base, 1 + rnd.nextInt(5))
+      var nextId = 1000L
+      (1 to 4).foreach { round =>
+        val existing = idx.profiles.keys.toSeq.sorted
+        val updated = rnd.shuffle(existing).take(rnd.nextInt(8))
+          .map(u => (u, randEvents(rnd, 1 + rnd.nextInt(12))))
+        val inserted = (0 until rnd.nextInt(4))
+          .map { _ => nextId += 1; (nextId, randEvents(rnd, 1 + rnd.nextInt(10))) }
+        idx.applyUpdates(updated ++ inserted, makeProfileFor)
+        (1 to 10).foreach { _ =>
+          val q = randQuery(rnd)
+          val k = 1 + rnd.nextInt(idx.profiles.size + 5)
+          val got = idx.topK(q, k)
+          val want = idx.scanTopK(q, k)
+          assert(sameTopK(got, want), s"seed $seed round $round k=$k: index=$got scan=$want")
+        }
+      }
     }
   }
 

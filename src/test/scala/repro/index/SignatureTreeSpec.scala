@@ -24,6 +24,10 @@ class SignatureTreeSpec extends AnyFunSuite {
     child.ent.foreach { case (k, v) => assert(parent.ent.getOrElse(k, 0.0) >= v - 1e-12) }
   }
 
+  private def bruteTopK(t: SignatureTree, q: ItemQuery, k: Int): Seq[(Long, Double)] =
+    t.leaves.map { case (u, s) => (u, Ranking.score(s, q, params, collection)) }
+      .sortBy { case (u, s) => (-s, u) }.take(k)
+
   private def checkTreeBounds(n: SigNode): Unit = n match {
     case _: SigLeaf => ()
     case i: SigInner =>
@@ -88,19 +92,15 @@ class SignatureTreeSpec extends AnyFunSuite {
     (1 to 40).foreach { i =>
       val q = randQuery(rnd)
       val k = rnd.nextInt(10) + 1
-      val got = t.knn(q, k, params, collection).map(_._2)
-      val want = t.leaves
-        .map { case (u, s) => (u, Ranking.score(s, q, params, collection)) }
-        .sortBy { case (u, s) => (-s, u) }.take(k).map(_._2)
-      got.zip(want).foreach { case (g, w) =>
-        assert(math.abs(g - w) < 1e-9, s"case $i: knn=$got brute=$want")
-      }
+      val got = SignatureTree.topK(Seq(t), q, k, params, collection)
+      val want = bruteTopK(t, q, k)
+      assert(sameTopK(got, want), s"case $i: knn=$got brute=$want")
     }
   }
 
   test("knn with k larger than the tree returns all users") {
     val t = tree(entries(5, 8))
-    assert(t.knn(randQuery(new Random(8)), 50, params, collection).size == 5)
+    assert(SignatureTree.topK(Seq(t), randQuery(new Random(8)), 50, params, collection).size == 5)
   }
 
   test("update replaces leaf stats and refreshes ancestors") {
@@ -157,11 +157,7 @@ class SignatureTreeSpec extends AnyFunSuite {
     (0L until 10L).foreach(u => t.update(u, randStats(rnd)))
     (1 to 20).foreach { _ =>
       val q = randQuery(rnd)
-      val got = t.knn(q, 7, params, collection).map(_._2)
-      val want = t.leaves
-        .map { case (u, s) => (u, Ranking.score(s, q, params, collection)) }
-        .sortBy { case (u, s) => (-s, u) }.take(7).map(_._2)
-      got.zip(want).foreach { case (g, w) => assert(math.abs(g - w) < 1e-9) }
+      assert(sameTopK(SignatureTree.topK(Seq(t), q, 7, params, collection), bruteTopK(t, q, 7)))
     }
   }
 

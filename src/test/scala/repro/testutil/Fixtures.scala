@@ -43,6 +43,13 @@ object Fixtures {
     entityWeights = (0 until rnd.nextInt(5) + 1)
       .map(_ => (rnd.nextInt(NEnt), rnd.nextDouble() * 0.9 + 0.1)).distinctBy(_._1))
 
+  /** True when two top-k lists hold the same users in the same order, with
+    * scores equal within 1e-9.
+    */
+  def sameTopK(a: Seq[(Long, Double)], b: Seq[(Long, Double)]): Boolean =
+    a.map(_._1) == b.map(_._1) &&
+      a.zip(b).forall { case ((_, x), (_, y)) => math.abs(x - y) < 1e-9 }
+
   /** A random event stream for one user. */
   def randEvents(rnd: Random, n: Int): Seq[CompactEvent] =
     (0 until n).map { _ =>
